@@ -299,8 +299,9 @@ impl Configuration {
     /// [`Configuration::merge_sparse`]: where `merge_sparse` replaces the
     /// occupied supports with a sum of absolute parts, `apply_deltas`
     /// shifts them by `Σ parts` — so a round in which almost nothing
-    /// changed costs `O(#changed)` on the wire *and* here, instead of
-    /// `O(#occupied)`. Built on [`Configuration::rewrite_occupied`]:
+    /// changed costs `O(#changed)` on the wire. The fold itself still
+    /// pays one `O(#occupied)` occupancy rescan to re-derive the caches.
+    /// Built on [`Configuration::rewrite_occupied`]:
     /// every part may only name slots that are currently occupied (dead
     /// colors stay dead — an opinion with zero global support cannot be
     /// sampled, so no delta can land on it), deltas for the same slot
@@ -509,7 +510,7 @@ impl Configuration {
     /// Re-derives every cached observable from a round's [`ChangeLog`]
     /// in `O(#changed)` (amortized), then clears the log for the next
     /// round — the incremental sibling of the dense
-    /// [`Configuration::rebuild_caches`] scan.
+    /// `Configuration::rebuild_caches` scan.
     ///
     /// The caller has already applied the count mutations themselves
     /// (the engine's `shift_unit` batch keeps `counts` and `n` exact)

@@ -113,7 +113,7 @@ pub enum SamplingMode {
 /// Both modes realize the identical process law. They consume the
 /// generator differently — the incremental sampler arbitrates its draw
 /// backend per round where the rebuild path always builds one
-/// [`RoundSampler`] form — so trajectories diverge per seed, exactly
+/// `RoundSampler` form — so trajectories diverge per seed, exactly
 /// like the [`SamplingMode`]s; crossval tests pin the laws against each
 /// other, and the default keeps every historical trajectory byte-exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -19,10 +19,11 @@
 //!   reports folded into **one** persistent merged [`Configuration`]
 //!   via [`Configuration::merge_sparse`] (`O(#occupied)` per round), or
 //!   — under [`ReportMode::Delta`] — signed per-round deltas merged via
-//!   [`Configuration::apply_deltas`] (`O(#changed)` per round) once the
-//!   coordinator observes the changed-slot set collapsing. The
-//!   coordinator arbitrates the sparse↔delta switch round-by-round
-//!   through [`crate::message::Control::Round`], keeping the format
+//!   [`Configuration::apply_deltas`] (`O(#changed)` wire entries, one
+//!   `O(#occupied)` occupancy rescan) once the coordinator observes the
+//!   changed-slot set collapsing. The coordinator arbitrates the
+//!   sparse↔delta switch round-by-round through
+//!   [`crate::message::Control::Round`], keeping the format
 //!   uniform across shards within a round (absolute and delta reports
 //!   cannot be mixed against a single merged configuration).
 //!   [`ReportMode::Dense`] preserves the pre-sparse path (fresh dense
@@ -437,7 +438,7 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
             control_txs.push(tx);
             control_rxs.push(rx);
         }
-        let (report_tx, report_rx) = mpsc::channel::<ShardReport>();
+        let (report_tx, report_rx) = mpsc::channel();
 
         // Per-shard sparse seed bodies (no O(n) opinion expansion); a
         // shard is condensed when the representation, the wire, and the

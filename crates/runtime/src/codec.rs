@@ -477,19 +477,24 @@ pub fn shard_message_len(msg: &ShardMessage) -> u64 {
             }
             (batch.round, p)
         }
-        ShardMessage::Palette(pal) => {
-            let mut p = varint_len(u64::from(pal.origin)) + varint_len(pal.palette.len() as u64);
-            for &o in &pal.palette {
-                p += varint_len(opinion_code(o));
-            }
-            p += varint_len(pal.runs.len() as u64);
-            for &(pi, c) in &pal.runs {
-                p += varint_len(u64::from(pi)) + varint_len(c);
-            }
-            (pal.round, p)
-        }
+        ShardMessage::Palette(pal) => return palette_len(pal),
     };
     frame_len(round, payload)
+}
+
+/// The exact frame length of a [`ShardMessage::Palette`] carrying
+/// `pal` — what [`shard_message_len`] returns for it, without wrapping
+/// the palette in a message first.
+pub fn palette_len(pal: &OpinionPalette) -> u64 {
+    let mut p = varint_len(u64::from(pal.origin)) + varint_len(pal.palette.len() as u64);
+    for &o in &pal.palette {
+        p += varint_len(opinion_code(o));
+    }
+    p += varint_len(pal.runs.len() as u64);
+    for &(pi, c) in &pal.runs {
+        p += varint_len(u64::from(pi)) + varint_len(c);
+    }
+    frame_len(pal.round, p)
 }
 
 /// Decodes a [`ShardMessage`] frame.

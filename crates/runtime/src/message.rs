@@ -208,6 +208,10 @@ pub struct OpinionPalette {
     pub runs: Vec<(u32, u64)>,
 }
 
+/// A pooled palette allocation: an [`OpinionPalette`]'s distinct-opinion
+/// list plus its `(palette_idx, count)` runs, recycled across rounds.
+pub type PaletteBuffers = (Vec<Opinion>, Vec<(u32, u64)>);
+
 /// Batched shard-to-shard traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardMessage {

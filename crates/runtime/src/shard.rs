@@ -103,8 +103,8 @@ use crate::cluster::{ConsumeMode, ReportMode, ShardRepr, WireMode};
 use crate::codec::{unzigzag, zigzag};
 use crate::fault::{CorruptionKind, FaultKind, FaultPlan, BYZANTINE_SALT};
 use crate::message::{
-    Control, DataFormat, OpinionPalette, PullBatch, Reply, ReportBody, ReportFormat, Request,
-    ShardMessage, ShardReport, TargetRun,
+    Control, DataFormat, OpinionPalette, PaletteBuffers, PullBatch, Reply, ReportBody,
+    ReportFormat, Request, ShardMessage, ShardReport, TargetRun,
 };
 use crate::transport::{Transport, TransportLost};
 
@@ -193,9 +193,119 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
     }
 }
 
-/// A pooled palette allocation: the distinct-opinion list plus its
-/// `(palette_idx, count)` runs.
-type PaletteBuffers = (Vec<Opinion>, Vec<(u32, u64)>);
+/// Appends a sorted `(slot, count)` histogram and its undecided mass as
+/// a histogram palette: ascending opinions, undecided last, one run per
+/// entry.
+fn hist_palette(
+    pairs: &[(u32, u64)],
+    undecided: u64,
+    body: &mut Vec<Opinion>,
+    runs: &mut Vec<(u32, u64)>,
+) {
+    for &(i, c) in pairs {
+        runs.push((body.len() as u32, c));
+        body.push(Opinion::new(i));
+    }
+    if undecided > 0 {
+        runs.push((body.len() as u32, undecided));
+        body.push(Opinion::UNDECIDED);
+    }
+}
+
+/// Unions histogram palettes whose runs ascend by opinion (undecided
+/// last — every condensed push palette) by an `S`-way sorted merge
+/// into parallel `values` / `weights`: ascending, deduplicated, each
+/// weight the integer sum of its slot's counts. No dense scratch, no
+/// sort — `O(S · #union)` head compares. Missing palettes (lost to a
+/// fault plan) are skipped. `heads` is scratch: one `(key, cursor)`
+/// per palette, where the key orders like the head opinion and
+/// `u64::MAX` marks an exhausted palette.
+fn merge_sorted_union(
+    palettes: &[Option<PaletteBuffers>],
+    heads: &mut Vec<(u64, usize)>,
+    values: &mut Vec<Opinion>,
+    weights: &mut Vec<f64>,
+) {
+    const DONE: u64 = u64::MAX;
+    const UNDECIDED_KEY: u64 = u32::MAX as u64;
+    fn key(p: &Option<PaletteBuffers>, cursor: usize) -> u64 {
+        let Some((palette, runs)) = p else { return DONE };
+        match runs.get(cursor) {
+            Some(&(pi, _)) => {
+                let o = palette[pi as usize];
+                if o.is_undecided() {
+                    UNDECIDED_KEY
+                } else {
+                    o.index() as u64
+                }
+            }
+            None => DONE,
+        }
+    }
+    values.clear();
+    weights.clear();
+    heads.clear();
+    heads.extend(palettes.iter().map(|p| (key(p, 0), 0)));
+    loop {
+        let min = heads.iter().map(|&(k, _)| k).min().unwrap_or(DONE);
+        if min == DONE {
+            break;
+        }
+        let mut count = 0u64;
+        for (p, head) in palettes.iter().zip(heads.iter_mut()) {
+            if head.0 == min {
+                let (_, runs) = p.as_ref().expect("a live head has a palette");
+                count += runs[head.1].1;
+                head.1 += 1;
+                head.0 = key(p, head.1);
+            }
+        }
+        debug_assert!(heads.iter().all(|&(k, _)| k > min), "palette runs must strictly ascend");
+        let o = if min == UNDECIDED_KEY { Opinion::UNDECIDED } else { Opinion::new(min as u32) };
+        values.push(o);
+        weights.push(count as f64);
+    }
+}
+
+/// Unions histogram palettes in any order through a dense scratch
+/// (zero outside `touched`, and left that way) into parallel `values`
+/// / `weights`: colors in first-touch order — palettes by origin, runs
+/// in palette order — then the undecided mass.
+fn scatter_union(
+    palettes: &[Option<PaletteBuffers>],
+    counts: &mut [u64],
+    touched: &mut Vec<u32>,
+    values: &mut Vec<Opinion>,
+    weights: &mut Vec<f64>,
+) {
+    let mut undecided = 0u64;
+    for (palette, runs) in palettes.iter().flatten() {
+        for &(pi, c) in runs {
+            let o = palette[pi as usize];
+            if o.is_undecided() {
+                undecided += c;
+            } else {
+                let i = o.index();
+                if counts[i] == 0 {
+                    touched.push(i as u32);
+                }
+                counts[i] += c;
+            }
+        }
+    }
+    values.clear();
+    weights.clear();
+    for &i in touched.iter() {
+        weights.push(counts[i as usize] as f64);
+        values.push(Opinion::new(i));
+        counts[i as usize] = 0;
+    }
+    touched.clear();
+    if undecided > 0 {
+        weights.push(undecided as f64);
+        values.push(Opinion::UNDECIDED);
+    }
+}
 
 /// Applies a signed delta to an unsigned count (counts are bounded by
 /// `n ≤ u32::MAX`, so the i64 arithmetic cannot overflow).
@@ -392,6 +502,8 @@ struct Worker<R, T> {
     /// This round's received palettes, slotted by server shard so the
     /// sample expansion order is arrival-order independent.
     recv_palettes: Vec<Option<PaletteBuffers>>,
+    /// Per-origin `(head key, cursor)` of the sorted push-union merge.
+    merge_heads: Vec<(u64, usize)>,
     /// Union-histogram scratch for push rounds: parallel alias-table
     /// weights and the opinions they stand for.
     alias_weights: Vec<f64>,
@@ -645,6 +757,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             serve_counts: if batched { vec![0; k_slots] } else { Vec::new() },
             theta_scratch: Vec::new(),
             recv_palettes: if batched { (0..shards).map(|_| None).collect() } else { Vec::new() },
+            merge_heads: Vec::new(),
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
             inc,
@@ -1738,60 +1851,63 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         if self.inc {
             return self.push_exchange_incremental(messages_sent);
         }
-        let shards = self.partition.shards;
+        let (body, bruns) = self.push_body();
+        self.broadcast_palette(body, bruns, messages_sent);
+        self.recv_push_palettes()?;
+        self.union_palettes();
+        Ok(())
+    }
 
-        // Round-start local opinion histogram (shared scratch with the
-        // pull path).
-        self.snapshot_round_start();
-
-        // Broadcast it as a histogram palette, one copy per peer —
-        // built once, then bulk-copied per destination rather than
-        // re-pushed entry by entry `shards` times.
+    /// The round-start opinion histogram as a push palette. Condensed
+    /// shards read it straight off `hist_pairs` (ascending, undecided
+    /// last); agent-backed shards tally their opinions through the
+    /// snapshot scratch (first-touch order) and reset it behind the
+    /// gather.
+    fn push_body(&mut self) -> PaletteBuffers {
         let (mut body, mut bruns) = self.palette_pool.pop().unwrap_or_default();
         body.clear();
         bruns.clear();
+        if self.condensed {
+            hist_palette(&self.hist_pairs, self.hist_undecided, &mut body, &mut bruns);
+            return (body, bruns);
+        }
+        self.snapshot_round_start();
         for &i in &self.snap_touched {
             bruns.push((body.len() as u32, self.snap_counts[i as usize]));
             body.push(Opinion::new(i));
+            self.snap_counts[i as usize] = 0;
         }
+        self.snap_touched.clear();
         if self.snap_undecided > 0 {
             bruns.push((body.len() as u32, self.snap_undecided));
             body.push(Opinion::UNDECIDED);
         }
-        for dest in 0..shards {
-            let (palette, pruns) = if dest + 1 == shards {
-                // The last copy hands off the original buffers.
-                (std::mem::take(&mut body), std::mem::take(&mut bruns))
-            } else {
-                let (mut p, mut r) = self.palette_pool.pop().unwrap_or_default();
-                p.clear();
-                r.clear();
-                p.extend_from_slice(&body);
-                r.extend_from_slice(&bruns);
-                (p, r)
-            };
-            let msg = OpinionPalette {
-                origin: self.shard_id as u32,
-                round: self.round_no,
-                palette,
-                runs: pruns,
-            };
-            *messages_sent += (msg.palette.len() + msg.runs.len()) as u64;
-            self.transport.send(dest, ShardMessage::Palette(msg));
-        }
-        // Reset the scratch fully: the union merge below re-tallies
-        // into it and must start from an empty touched list.
-        for &i in &self.snap_touched {
-            self.snap_counts[i as usize] = 0;
-        }
-        self.snap_touched.clear();
+        (body, bruns)
+    }
 
-        // Collect the fleet's histograms. The coordinator's report
-        // barrier keeps rounds in lockstep, so exactly these `shards`
-        // palettes — and nothing else — arrive here (a push round has
-        // no pulls at all).
-        let mut palettes = 0usize;
-        while palettes < shards {
+    /// Broadcasts this round's push palette to the whole fleet (self
+    /// included) through one [`Transport::broadcast`] — one frame
+    /// length for all `shards` copies, extra copies drawn from the
+    /// palette pool.
+    fn broadcast_palette(
+        &mut self,
+        palette: Vec<Opinion>,
+        runs: Vec<(u32, u64)>,
+        messages_sent: &mut u64,
+    ) {
+        let shards = self.partition.shards as u64;
+        *messages_sent += shards * (palette.len() + runs.len()) as u64;
+        let msg =
+            OpinionPalette { origin: self.shard_id as u32, round: self.round_no, palette, runs };
+        self.transport.broadcast(msg, &mut self.palette_pool);
+    }
+
+    /// Collects the fleet's push histograms into `recv_palettes`. The
+    /// coordinator's report barrier keeps rounds in lockstep, so
+    /// exactly `shards` palettes — and nothing else — arrive here (a
+    /// push round has no pulls at all).
+    fn recv_push_palettes(&mut self) -> Result<(), TransportLost> {
+        for _ in 0..self.partition.shards {
             match self.transport.recv()? {
                 ShardMessage::Palette(p) => {
                     assert!(
@@ -1799,13 +1915,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                         "round lockstep: unexpected extra palette"
                     );
                     self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
-                    palettes += 1;
                 }
                 _ => unreachable!("round lockstep: pull or per-entry message in a push round"),
             }
         }
-
-        self.union_palettes();
         Ok(())
     }
 
@@ -1832,7 +1945,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// copies and union re-deduplication). The union no longer routes
     /// through the snapshot scratch on either representation.
     fn push_exchange_incremental(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        let shards = self.partition.shards;
         if !self.condensed {
             // Tally the round-start opinions, then sort into the
             // ascending `hist_pairs` invariant the delta diff (and the
@@ -1891,56 +2003,15 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                 body.push(Opinion::UNDECIDED);
             }
         } else {
-            for &(i, c) in &self.hist_pairs {
-                bruns.push((body.len() as u32, c));
-                body.push(Opinion::new(i));
-            }
-            if self.hist_undecided > 0 {
-                bruns.push((body.len() as u32, self.hist_undecided));
-                body.push(Opinion::UNDECIDED);
-            }
+            hist_palette(&self.hist_pairs, self.hist_undecided, &mut body, &mut bruns);
         }
         // Record the baseline the next round's delta is relative to.
         self.push_sent_prev.clone_from(&self.hist_pairs);
         self.push_sent_undecided = self.hist_undecided;
         self.push_sent_round = Some(self.round_no);
 
-        for dest in 0..shards {
-            let (palette, pruns) = if dest + 1 == shards {
-                (std::mem::take(&mut body), std::mem::take(&mut bruns))
-            } else {
-                let (mut p, mut r) = self.palette_pool.pop().unwrap_or_default();
-                p.clear();
-                r.clear();
-                p.extend_from_slice(&body);
-                r.extend_from_slice(&bruns);
-                (p, r)
-            };
-            let msg = OpinionPalette {
-                origin: self.shard_id as u32,
-                round: self.round_no,
-                palette,
-                runs: pruns,
-            };
-            *messages_sent += (msg.palette.len() + msg.runs.len()) as u64;
-            self.transport.send(dest, ShardMessage::Palette(msg));
-        }
-
-        let mut palettes = 0usize;
-        while palettes < shards {
-            match self.transport.recv()? {
-                ShardMessage::Palette(p) => {
-                    assert!(
-                        self.recv_palettes[p.origin as usize].is_none(),
-                        "round lockstep: unexpected extra palette"
-                    );
-                    self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
-                    palettes += 1;
-                }
-                _ => unreachable!("round lockstep: pull or per-entry message in a push round"),
-            }
-        }
-
+        self.broadcast_palette(body, bruns, messages_sent);
+        self.recv_push_palettes()?;
         self.union_apply(delta_round);
         Ok(())
     }
@@ -2047,46 +2118,43 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         );
     }
 
-    /// Unions the received push histograms — deduplicated through the
-    /// (currently idle) snapshot scratch, so the alias table is built
-    /// over the ~occ distinct global colors rather than the
-    /// `shards · occ` raw entries. Contributions lost to an active
-    /// fault plan are simply absent: the alias table normalizes over
-    /// the surviving mass, reweighting the round's samples toward the
-    /// shards that were heard (on the exact path every slot is filled,
-    /// so this is the fault-free union verbatim).
+    /// Unions the received push histograms into the parallel
+    /// `alias_values` / `alias_weights` scratch over the ~occ distinct
+    /// global colors rather than the `shards · occ` raw entries.
+    /// Condensed multiset shards — whose closed-form step wants the
+    /// union ascending — merge their ascending palettes in one sorted
+    /// pass ([`merge_sorted_union`]); every other shard deduplicates
+    /// through the (currently idle) snapshot scratch in first-touch
+    /// order ([`scatter_union`]): their consumers draw in alias order,
+    /// so that order is part of their pinned trajectories. Contributions lost to an active fault plan are simply
+    /// absent: the alias table normalizes over the surviving mass,
+    /// reweighting the round's samples toward the shards that were
+    /// heard (on the exact path every slot is filled, so this is the
+    /// fault-free union verbatim).
     fn union_palettes(&mut self) {
-        let shards = self.partition.shards;
-        let mut union_undecided = 0u64;
-        for origin in 0..shards {
-            let Some((palette, runs)) = self.recv_palettes[origin].take() else {
-                continue;
-            };
-            for &(pi, c) in &runs {
-                let o = palette[pi as usize];
-                if o.is_undecided() {
-                    union_undecided += c;
-                } else {
-                    let i = o.index();
-                    if self.snap_counts[i] == 0 {
-                        self.snap_touched.push(i as u32);
-                    }
-                    self.snap_counts[i] += c;
-                }
+        if self.condensed && self.access == SampleAccess::Multiset {
+            merge_sorted_union(
+                &self.recv_palettes,
+                &mut self.merge_heads,
+                &mut self.alias_values,
+                &mut self.alias_weights,
+            );
+        } else {
+            // A pull round leaves its touched list behind over zeroed
+            // counts, and condensed push bodies never snapshot.
+            self.snap_touched.clear();
+            scatter_union(
+                &self.recv_palettes,
+                &mut self.snap_counts,
+                &mut self.snap_touched,
+                &mut self.alias_values,
+                &mut self.alias_weights,
+            );
+        }
+        for slot in &mut self.recv_palettes {
+            if let Some(buffers) = slot.take() {
+                self.palette_pool.push(buffers);
             }
-            self.palette_pool.push((palette, runs));
-        }
-        self.alias_weights.clear();
-        self.alias_values.clear();
-        for &i in &self.snap_touched {
-            self.alias_weights.push(self.snap_counts[i as usize] as f64);
-            self.alias_values.push(Opinion::new(i));
-            self.snap_counts[i as usize] = 0;
-        }
-        self.snap_touched.clear();
-        if union_undecided > 0 {
-            self.alias_weights.push(union_undecided as f64);
-            self.alias_values.push(Opinion::UNDECIDED);
         }
     }
 
@@ -2335,19 +2403,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         let shards = self.partition.shards;
         let round = self.round_no;
 
-        self.snapshot_round_start();
-
-        let (mut body, mut bruns) = self.palette_pool.pop().unwrap_or_default();
-        body.clear();
-        bruns.clear();
-        for &i in &self.snap_touched {
-            bruns.push((body.len() as u32, self.snap_counts[i as usize]));
-            body.push(Opinion::new(i));
-        }
-        if self.snap_undecided > 0 {
-            bruns.push((body.len() as u32, self.snap_undecided));
-            body.push(Opinion::UNDECIDED);
-        }
+        let (body, bruns) = self.push_body();
         let mut expected_palettes = 0usize;
         for peer in 0..shards {
             if self.plan.is_crashed(peer, round) {
@@ -2366,10 +2422,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.send_palette_faulty(peer, msg, messages_sent);
         }
         self.palette_pool.push((body, bruns));
-        for &i in &self.snap_touched {
-            self.snap_counts[i as usize] = 0;
-        }
-        self.snap_touched.clear();
 
         let mut palettes = 0usize;
         while palettes < expected_palettes {
@@ -2562,19 +2614,13 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// compute is `O(#occupied · h)`, independent of `local_n`. This is
     /// the path the Theorem-5 `n ≥ 10⁸` sweeps run on.
     fn consume_push_condensed_multiset(&mut self) {
-        // Sort the union ascending by opinion (undecided orders last) —
-        // the condensed-step contract; the union is already
-        // deduplicated by `union_palettes`.
-        let mut union: Vec<(Opinion, f64)> =
-            self.alias_values.iter().copied().zip(self.alias_weights.iter().copied()).collect();
-        union.sort_by_key(|&(o, _)| o);
-        self.alias_values.clear();
-        self.alias_weights.clear();
-        for &(o, w) in &union {
-            self.alias_values.push(o);
-            self.alias_weights.push(w);
-        }
-
+        // The condensed-step contract: the union ascending by opinion
+        // (undecided orders last), deduplicated — which both the
+        // sorted merge and the persistent incremental union produce.
+        debug_assert!(
+            self.alias_values.windows(2).all(|w| w[0] < w[1]),
+            "push union must be strictly ascending"
+        );
         self.condensed_groups();
         self.step_out.clear();
         let msr = self.rule.as_multiset().expect("Multiset access requires a MultisetRule impl");
@@ -2904,5 +2950,80 @@ mod tests {
     #[should_panic(expected = "one node per shard")]
     fn too_many_shards_panics() {
         Partition::new(3, 4);
+    }
+
+    /// `shards` ascending histogram palettes over `k` slots: disjoint
+    /// supports deal each slot to one shard, overlapping ones give each
+    /// shard a random ~half of all slots. Counts reach past `2^53` in
+    /// sum, so a union that summed in f64 would round differently.
+    fn test_palettes(
+        shards: usize,
+        k: u32,
+        disjoint: bool,
+        undecided: bool,
+        rng: &mut Pcg64,
+    ) -> Vec<Option<PaletteBuffers>> {
+        (0..shards)
+            .map(|s| {
+                let mut pairs: Vec<(u32, u64)> = Vec::new();
+                for i in 0..k {
+                    let member =
+                        if disjoint { i as usize % shards == s } else { rng.gen_bool(0.5) };
+                    if member {
+                        pairs.push((i, rng.gen_range(1..=1u64 << 52)));
+                    }
+                }
+                let u = if undecided { rng.gen_range(1..=1u64 << 40) } else { 0 };
+                let (mut body, mut runs) = (Vec::new(), Vec::new());
+                hist_palette(&pairs, u, &mut body, &mut runs);
+                Some((body, runs))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sorted_union_merge_matches_scatter_reference() {
+        let mut rng = Pcg64::seed_from_u64(17);
+        let k = 300u32;
+        for shards in [1usize, 2, 3, 8] {
+            for disjoint in [true, false] {
+                for undecided in [true, false] {
+                    let mut palettes = test_palettes(shards, k, disjoint, undecided, &mut rng);
+                    if shards == 3 {
+                        // A palette lost to a fault plan is skipped.
+                        palettes[1] = None;
+                    }
+                    let (mut values, mut weights, mut heads) = (Vec::new(), Vec::new(), Vec::new());
+                    merge_sorted_union(&palettes, &mut heads, &mut values, &mut weights);
+
+                    let mut counts = vec![0u64; k as usize];
+                    let (mut touched, mut ref_values, mut ref_weights) =
+                        (Vec::new(), Vec::new(), Vec::new());
+                    scatter_union(
+                        &palettes,
+                        &mut counts,
+                        &mut touched,
+                        &mut ref_values,
+                        &mut ref_weights,
+                    );
+                    assert!(counts.iter().all(|&c| c == 0) && touched.is_empty());
+                    let mut reference: Vec<(Opinion, f64)> =
+                        ref_values.into_iter().zip(ref_weights).collect();
+                    reference.sort_by_key(|&(o, _)| o);
+
+                    let case = format!("S={shards} disjoint={disjoint} undecided={undecided}");
+                    assert_eq!(values.len(), reference.len(), "{case}: union size");
+                    assert_eq!(
+                        values.last() == Some(&Opinion::UNDECIDED),
+                        undecided,
+                        "{case}: undecided mass orders last"
+                    );
+                    for (j, &(o, w)) in reference.iter().enumerate() {
+                        assert_eq!(values[j], o, "{case}: value order at {j}");
+                        assert_eq!(weights[j].to_bits(), w.to_bits(), "{case}: weight at {j}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -16,7 +16,11 @@
 //! barrier lockstep), the codec is a pure function of the message, and
 //! the channel backend never actually serializes (it moves the enums
 //! and adds the would-be frame length), which is what keeps the default
-//! path byte-identical to the pre-transport runtime. Handshake frames
+//! path byte-identical to the pre-transport runtime. Every frame is
+//! sized exactly once, at its sender: the channel backend carries the
+//! length through the channel next to the message, and the socket
+//! backend takes it from the encoded buffer. A [`Transport::broadcast`]
+//! sizes its palette once for all of its copies. Handshake frames
 //! (`Hello`/`Init`/`Ready`/`PeerHello`, socket backend only) are *not*
 //! counted: they have no channel counterpart and are not part of the
 //! per-round cost model.
@@ -73,11 +77,13 @@ use crate::cluster::{ConsumeMode, ReportMode, ShardRepr, WireMode};
 use crate::codec::{
     control_len, decode_control, decode_hello, decode_peer_hello, decode_report,
     decode_shard_message, decode_worker_init, encode_control, encode_hello, encode_peer_hello,
-    encode_ready, encode_report, encode_shard_message, encode_worker_init, read_frame, report_len,
-    shard_message_len, write_frame, FrameKind, Hello, WorkerInit,
+    encode_ready, encode_report, encode_shard_message, encode_worker_init, palette_len, read_frame,
+    report_len, shard_message_len, write_frame, FrameKind, Hello, WorkerInit,
 };
 use crate::fault::FaultPlan;
-use crate::message::{Control, ReportBody, ShardMessage, ShardReport};
+use crate::message::{
+    Control, OpinionPalette, PaletteBuffers, ReportBody, ShardMessage, ShardReport,
+};
 use crate::shard::{run_shard, Partition, ShardInit, ShardSpec};
 
 /// The peer or coordinator on the other end of a transport is gone
@@ -108,6 +114,13 @@ pub trait Transport {
     /// allowed; they loop back without touching any socket but are
     /// counted like every other message).
     fn send(&mut self, dest: usize, msg: ShardMessage);
+    /// Sends one palette to every shard of the fleet, self included,
+    /// in destination order — sized once for all copies. The channel
+    /// backend builds its extra copies from `pool`'s buffers; the
+    /// socket backend encodes the palette once, writes the same bytes
+    /// to every remote peer, materializes only the self copy, and
+    /// releases the pooled buffers the remote copies would have used.
+    fn broadcast(&mut self, palette: OpinionPalette, pool: &mut Vec<PaletteBuffers>);
     /// Blocks for the next data-plane message.
     fn recv(&mut self) -> Result<ShardMessage, TransportLost>;
     /// Sends this shard's per-round report to the coordinator. A
@@ -147,26 +160,31 @@ pub(crate) trait CoordinatorLink {
 // Channel backend.
 // ---------------------------------------------------------------------------
 
+/// A message or report in flight on a channel, with the frame length
+/// its sender computed — receivers account the carried length instead
+/// of re-walking the body.
+pub(crate) type Framed<M> = (M, u64);
+
 /// The default in-process backend: one `mpsc` inbox per shard, everyone
 /// holding senders to everyone — the exact pre-transport topology, with
 /// frame-length accounting bolted on. Messages are moved as enums
 /// (never serialized), so this path is byte-identical per seed to the
 /// pre-transport runtime.
 pub struct ChannelTransport {
-    inbox: mpsc::Receiver<ShardMessage>,
-    peers: Vec<mpsc::Sender<ShardMessage>>,
+    inbox: mpsc::Receiver<Framed<ShardMessage>>,
+    peers: Vec<mpsc::Sender<Framed<ShardMessage>>>,
     control: mpsc::Receiver<Control>,
-    report: mpsc::Sender<ShardReport>,
+    report: mpsc::Sender<Framed<ShardReport>>,
     sent: u64,
     received: u64,
 }
 
 impl ChannelTransport {
     pub(crate) fn new(
-        inbox: mpsc::Receiver<ShardMessage>,
-        peers: Vec<mpsc::Sender<ShardMessage>>,
+        inbox: mpsc::Receiver<Framed<ShardMessage>>,
+        peers: Vec<mpsc::Sender<Framed<ShardMessage>>>,
         control: mpsc::Receiver<Control>,
-        report: mpsc::Sender<ShardReport>,
+        report: mpsc::Sender<Framed<ShardReport>>,
     ) -> Self {
         Self { inbox, peers, control, report, sent: 0, received: 0 }
     }
@@ -174,21 +192,40 @@ impl ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn send(&mut self, dest: usize, msg: ShardMessage) {
-        self.sent += shard_message_len(&msg);
-        self.peers[dest].send(msg).expect("peer shard alive");
+        let len = shard_message_len(&msg);
+        self.sent += len;
+        self.peers[dest].send((msg, len)).expect("peer shard alive");
+    }
+
+    fn broadcast(&mut self, palette: OpinionPalette, pool: &mut Vec<PaletteBuffers>) {
+        let len = palette_len(&palette);
+        let last = self.peers.len() - 1;
+        self.sent += len * self.peers.len() as u64;
+        for peer in &self.peers[..last] {
+            let (mut p, mut r) = pool.pop().unwrap_or_default();
+            p.clear();
+            r.clear();
+            p.extend_from_slice(&palette.palette);
+            r.extend_from_slice(&palette.runs);
+            let copy = OpinionPalette { palette: p, runs: r, ..palette };
+            peer.send((ShardMessage::Palette(copy), len)).expect("peer shard alive");
+        }
+        // The last copy hands off the original buffers.
+        self.peers[last].send((ShardMessage::Palette(palette), len)).expect("peer shard alive");
     }
 
     fn recv(&mut self) -> Result<ShardMessage, TransportLost> {
-        let msg = self.inbox.recv().map_err(|_| TransportLost)?;
-        self.received += shard_message_len(&msg);
+        let (msg, len) = self.inbox.recv().map_err(|_| TransportLost)?;
+        self.received += len;
         Ok(msg)
     }
 
     fn send_report(&mut self, report: ShardReport) -> Option<Vec<(u32, u64)>> {
-        self.sent += report_len(&report);
+        let len = report_len(&report);
+        self.sent += len;
         // The coordinator consumes the report in place — the body
         // crosses the channel intact, so there is nothing to pool.
-        self.report.send(report).expect("coordinator alive");
+        self.report.send((report, len)).expect("coordinator alive");
         None
     }
 
@@ -218,7 +255,7 @@ impl Transport for ChannelTransport {
 /// The coordinator's channel-backend link.
 pub(crate) struct ChannelLink {
     control_txs: Vec<mpsc::Sender<Control>>,
-    report_rx: mpsc::Receiver<ShardReport>,
+    report_rx: mpsc::Receiver<Framed<ShardReport>>,
     sent: u64,
     received: u64,
 }
@@ -226,7 +263,7 @@ pub(crate) struct ChannelLink {
 impl ChannelLink {
     pub(crate) fn new(
         control_txs: Vec<mpsc::Sender<Control>>,
-        report_rx: mpsc::Receiver<ShardReport>,
+        report_rx: mpsc::Receiver<Framed<ShardReport>>,
     ) -> Self {
         Self { control_txs, report_rx, sent: 0, received: 0 }
     }
@@ -239,8 +276,8 @@ impl CoordinatorLink for ChannelLink {
     }
 
     fn recv_report(&mut self) -> Result<ShardReport, TransportLost> {
-        let rep = self.report_rx.recv().map_err(|_| TransportLost)?;
-        self.received += report_len(&rep);
+        let (rep, len) = self.report_rx.recv().map_err(|_| TransportLost)?;
+        self.received += len;
         Ok(rep)
     }
 
@@ -475,7 +512,7 @@ struct SocketTransport {
     /// loop back through `self_queue` without touching a socket).
     peer_w: Vec<Option<Conn>>,
     events: mpsc::Receiver<PeerEvent>,
-    self_queue: VecDeque<(ShardMessage, u64)>,
+    self_queue: VecDeque<Framed<ShardMessage>>,
     lost: bool,
     sent: u64,
     received: u64,
@@ -485,23 +522,53 @@ struct SocketTransport {
     scratch: Vec<u8>,
 }
 
+impl SocketTransport {
+    /// Writes the frame in `scratch` to peer `dest`. A failed write
+    /// surfaces from the next recv; the round cannot complete anyway
+    /// (the peer will never answer).
+    fn write_scratch(&mut self, dest: usize) {
+        let conn = self.peer_w[dest].as_mut().expect("mesh covers every non-self peer");
+        if write_frame(conn, &self.scratch).is_err() {
+            self.lost = true;
+        }
+    }
+}
+
 impl Transport for SocketTransport {
     fn send(&mut self, dest: usize, msg: ShardMessage) {
-        let len = shard_message_len(&msg);
-        self.sent += len;
         if dest == self.shard_id {
+            let len = shard_message_len(&msg);
+            self.sent += len;
             self.self_queue.push_back((msg, len));
             return;
         }
         self.scratch.clear();
         encode_shard_message(&msg, &mut self.scratch);
-        debug_assert_eq!(self.scratch.len() as u64, len, "encoded_len must match the encoder");
-        let conn = self.peer_w[dest].as_mut().expect("mesh covers every non-self peer");
-        if write_frame(conn, &self.scratch).is_err() {
-            // The loss surfaces from the next recv; the round cannot
-            // complete anyway (the peer will never answer).
-            self.lost = true;
+        let len = self.scratch.len() as u64;
+        debug_assert_eq!(len, shard_message_len(&msg), "encoded_len must match the encoder");
+        self.sent += len;
+        self.write_scratch(dest);
+    }
+
+    fn broadcast(&mut self, palette: OpinionPalette, pool: &mut Vec<PaletteBuffers>) {
+        let msg = ShardMessage::Palette(palette);
+        self.scratch.clear();
+        encode_shard_message(&msg, &mut self.scratch);
+        let len = self.scratch.len() as u64;
+        debug_assert_eq!(len, shard_message_len(&msg), "encoded_len must match the encoder");
+        let shards = self.peer_w.len();
+        self.sent += len * shards as u64;
+        for dest in 0..shards {
+            if dest != self.shard_id {
+                self.write_scratch(dest);
+            }
         }
+        self.self_queue.push_back((msg, len));
+        // The peers' palettes of this round arrive freshly decoded and
+        // are recycled into `pool`, but no pooled buffer was spent on a
+        // remote copy: release as many as the copies would have taken,
+        // or the pool grows by `shards - 1` buffers every round.
+        pool.truncate(pool.len().saturating_sub(shards - 1));
     }
 
     fn recv(&mut self) -> Result<ShardMessage, TransportLost> {
@@ -525,9 +592,11 @@ impl Transport for SocketTransport {
     }
 
     fn send_report(&mut self, report: ShardReport) -> Option<Vec<(u32, u64)>> {
-        self.sent += report_len(&report);
         self.scratch.clear();
         encode_report(&report, &mut self.scratch);
+        let len = self.scratch.len() as u64;
+        debug_assert_eq!(len, report_len(&report), "report_len must match the encoder");
+        self.sent += len;
         if write_frame(&mut self.coord_w, &self.scratch).is_err() {
             self.lost = true;
         }
@@ -829,7 +898,7 @@ pub(crate) struct FleetSpec {
 /// queue.
 pub(crate) struct SocketLink {
     conns: Vec<Conn>,
-    reports: mpsc::Receiver<Option<(ShardReport, u64)>>,
+    reports: mpsc::Receiver<Option<Framed<ShardReport>>>,
     sent: u64,
     received: u64,
     scratch: Vec<u8>,

@@ -11,7 +11,7 @@ use symbreak_core::rules::{ThreeMajority, TwoChoices, Voter};
 use symbreak_core::Configuration;
 use symbreak_runtime::{
     ByzantineSpec, Cluster, ClusterConfig, ConsumeMode, CorruptionKind, CrashSpec, FaultKind,
-    FaultPlan, ShardRepr, StopReason, WireMode,
+    FaultPlan, RoundStateMode, ShardRepr, StopReason, WireMode,
 };
 
 /// Strips the wire-byte counters (PR 8) off a [`FaultCounters`] so the
@@ -105,6 +105,34 @@ fn golden_voter_per_entry_inert_plan_seed_exact() {
     assert_eq!(out.consensus_round, 92);
     assert_eq!(out.total_messages, 22080);
     assert_eq!(trace_digest(&out.trace), 0x8fe0152528e7a52c);
+}
+
+/// The condensed push gear: 3-Majority from a uniform 4096-color start
+/// at n = 10⁶ arbitrates every round to push, so each round is one
+/// union of the fleet's histogram broadcasts plus one closed-form step.
+/// Recorded on the scatter-and-sort union with frames sized at both
+/// ends; the sorted-merge union and once-sized broadcast frames must
+/// replay trajectory, wire bytes and message counts exactly.
+#[test]
+fn golden_condensed_push_three_majority() {
+    let start = Configuration::uniform(1_000_000, 4096);
+    // (shards, digest, Rebuild (wire_bytes, total_messages), Incremental (...)).
+    let cases = [
+        (2, 0xc063_7112_d92c_60d1, (3_383_659, 966_660), (3_145_023, 939_316)),
+        (3, 0x1a03_4cd0_65ce_a18a, (6_455_585, 2_162_700), (6_283_067, 2_090_826)),
+        (5, 0x7f6f_2275_45f2_f8cf, (16_559_977, 5_980_200), (15_958_207, 5_729_160)),
+    ];
+    for (shards, digest, rebuild, incremental) in cases {
+        for (mode, (wire_bytes, total_messages)) in
+            [(RoundStateMode::Rebuild, rebuild), (RoundStateMode::Incremental, incremental)]
+        {
+            let config = ClusterConfig::new(shards, 7).with_round_state(mode);
+            let out = Cluster::new(ThreeMajority, &start, config).run_horizon(30);
+            assert_eq!(trace_digest(&out.trace), digest, "S={shards} {mode:?}: digest");
+            assert_eq!(out.wire_bytes, wire_bytes, "S={shards} {mode:?}: wire bytes");
+            assert_eq!(out.total_messages, total_messages, "S={shards} {mode:?}: messages");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,11 +8,11 @@
 
 use std::path::PathBuf;
 
-use symbreak_core::rules::{LazyVoter, ThreeMajority, Voter};
+use symbreak_core::rules::{LazyVoter, ThreeMajority, TwoChoices, Voter};
 use symbreak_core::Configuration;
 use symbreak_runtime::{
-    Cluster, ClusterConfig, FaultPlan, ReportMode, ShardRepr, SocketConfig, StopReason,
-    TransportAddr,
+    Cluster, ClusterConfig, FaultPlan, GearMode, ReportMode, RoundStateMode, ShardRepr,
+    SocketConfig, StopReason, TransportAddr, WireRule,
 };
 
 /// The worker binary Cargo built alongside this test.
@@ -77,6 +77,51 @@ fn socket_fleet_replays_channel_trajectory_agents_delta() {
     assert_eq!(trace_digest(&socket.trace), trace_digest(&channel.trace));
     assert_eq!(socket.total_messages, channel.total_messages);
     assert_eq!(socket.wire_bytes, channel.wire_bytes);
+}
+
+/// Runs `rule` on the incremental push gear over channels and over
+/// sockets and asserts the two agree on trajectory, message count and
+/// bytes — and that delta rounds actually ran (the rebuild broadcast
+/// costs more messages).
+fn assert_incremental_push_parity<R: WireRule + Clone + Send>(
+    rule: R,
+    start: &Configuration,
+    repr: ShardRepr,
+) {
+    let config = |mode| {
+        ClusterConfig::new(3, 21)
+            .with_shard_repr(repr)
+            .with_data_gear(GearMode::ForcePush)
+            .with_round_state(mode)
+    };
+    let incremental = || config(RoundStateMode::Incremental);
+    let channel = Cluster::new(rule.clone(), start, incremental()).run_horizon(20);
+    let socket =
+        Cluster::new(rule.clone(), start, incremental()).run_horizon_socket(20, &unix_config());
+    assert_eq!(trace_digest(&socket.trace), trace_digest(&channel.trace), "{repr:?}");
+    assert_eq!(socket.final_config, channel.final_config, "{repr:?}");
+    assert_eq!(socket.total_messages, channel.total_messages, "{repr:?}");
+    assert_eq!(socket.wire_bytes, channel.wire_bytes, "{repr:?}");
+    assert_eq!(socket.faults.bytes_sent, channel.faults.bytes_sent, "{repr:?}");
+    assert_eq!(socket.faults.bytes_received, channel.faults.bytes_received, "{repr:?}");
+    let rebuild = Cluster::new(rule, start, config(RoundStateMode::Rebuild)).run_horizon(20);
+    assert!(channel.total_messages < rebuild.total_messages, "{repr:?}: no delta rounds");
+}
+
+#[test]
+fn socket_fleet_replays_channel_trajectory_incremental_push() {
+    // The incremental push gear ships delta palettes after its first
+    // full broadcast, through the transport's broadcast: one encoding
+    // written to every remote peer, the self copy looped back. The
+    // condensed fleet runs 3-Majority from a concentrated start; the
+    // agent-backed one runs the stalled 2-Choices singleton regime,
+    // where only a few opinions switch per round.
+    assert_incremental_push_parity(
+        ThreeMajority,
+        &Configuration::uniform(400, 8),
+        ShardRepr::Histogram,
+    );
+    assert_incremental_push_parity(TwoChoices, &Configuration::singletons(300), ShardRepr::Agents);
 }
 
 #[test]

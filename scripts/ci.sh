@@ -47,6 +47,9 @@ SYMBREAK_SCALE=0.001 cargo run --release -p symbreak-bench --bin exp_e25_grouped
 echo "==> incremental round-state smoke: sampler flat band + paired stalled-regime cluster runs"
 SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e26_incremental_rounds
 
+echo "==> benchmark smoke: every BENCHMARK.json workload at tiny size, untraced and traced"
+python3 perfbench/smoke_test.py
+
 echo "==> experiment smoke (SYMBREAK_SCALE=${SYMBREAK_SCALE:-0.25})"
 SYMBREAK_SCALE="${SYMBREAK_SCALE:-0.25}" \
     cargo run --release -p symbreak-bench --bin run_all
