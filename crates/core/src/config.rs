@@ -292,23 +292,32 @@ impl Configuration {
     }
 
     /// Applies sparse signed per-slot deltas (e.g. per-shard *delta*
-    /// reports of a distributed run) to the occupied slots, in
-    /// `O(#occupied + Σ|partᵢ|)` with no allocation.
+    /// reports of a distributed run) to the occupied slots in
+    /// `O(m log m)` for `m = Σ|partᵢ|` entries (one sort deduplicates
+    /// the touched slots), plus one memmove of the occupancy list's tail
+    /// when slots die and a rare `O(#occupied)` top-two rescan when a
+    /// leading slot was touched.
     ///
     /// This is the delta-control-plane sibling of
     /// [`Configuration::merge_sparse`]: where `merge_sparse` replaces the
     /// occupied supports with a sum of absolute parts, `apply_deltas`
     /// shifts them by `Σ parts` — so a round in which almost nothing
-    /// changed costs `O(#changed)` on the wire. The fold itself still
-    /// pays one `O(#occupied)` occupancy rescan to re-derive the caches.
-    /// Built on [`Configuration::rewrite_occupied`]:
-    /// every part may only name slots that are currently occupied (dead
+    /// changed costs `O(#changed)` both on the wire and in the fold.
+    /// Every part may only name slots that are currently occupied (dead
     /// colors stay dead — an opinion with zero global support cannot be
     /// sampled, so no delta can land on it), deltas for the same slot
     /// accumulate, and slots whose support reaches zero drop out of the
-    /// occupancy list. The population size is re-derived, so
+    /// occupancy list. The population size follows the deltas, so
     /// mass-changing delta streams (undecided-dynamics shards trading
     /// decided mass against undecided nodes) are supported.
+    ///
+    /// Each entry updates its count, `n` and `Σ cᵢ²` exactly in `O(1)`.
+    /// The top-two supports stream: when every entry landed on a slot
+    /// holding less than the old second support, neither leading slot
+    /// was touched, so the old `(max, second)` still bound every
+    /// untouched slot and folding in the touched slots' final counts is
+    /// exact. Otherwise (or with fewer than two colors left) one
+    /// `O(#occupied)` rescan re-derives them.
     ///
     /// ```
     /// use symbreak_core::Configuration;
@@ -322,36 +331,84 @@ impl Configuration {
     ///
     /// # Panics
     /// Panics if a delta drives a slot's support negative, or if a part
-    /// names a slot with no current support: debug builds pinpoint the
-    /// slot per entry; release builds catch any net resurrection through
-    /// an `O(1)`-per-entry mass identity (`new n = old n + Σ deltas`
-    /// holds exactly iff every delta landed on a live slot, because mass
-    /// written to a dead slot is invisible to the occupancy rescan).
+    /// names a slot with no support when the call began (checked per
+    /// entry: an entry finding its slot at zero binary-searches the
+    /// not-yet-compacted occupancy list).
     pub fn apply_deltas<'a, I>(&mut self, parts: I)
     where
         I: IntoIterator<Item = &'a [(u32, i64)]>,
     {
-        let old_n = self.n as i128;
-        let mut shift = 0i128;
-        self.rewrite_occupied(|occ, counts| {
-            for part in parts {
-                for &(slot, delta) in part {
-                    debug_assert!(
-                        occ.binary_search(&slot).is_ok(),
+        let mut touched: Vec<u32> = Vec::new();
+        let mut leaders_untouched = true;
+        for part in parts {
+            for &(slot, delta) in part {
+                let old = self.counts[slot as usize];
+                if old == 0 {
+                    // Zero now: live at the start of the call only if
+                    // an earlier entry drained it (it is still listed).
+                    assert!(
+                        self.occupied.binary_search(&slot).is_ok(),
                         "apply_deltas: slot {slot} has no support (dead colors stay dead)"
                     );
-                    let c = counts[slot as usize] as i128 + i128::from(delta);
-                    assert!(c >= 0, "apply_deltas: slot {slot} support went negative ({c})");
-                    counts[slot as usize] = c as u64;
-                    shift += i128::from(delta);
+                }
+                let c = old as i128 + i128::from(delta);
+                assert!(c >= 0, "apply_deltas: slot {slot} support went negative ({c})");
+                let new = c as u64;
+                self.counts[slot as usize] = new;
+                self.n = (self.n as i128 + i128::from(delta)) as u64;
+                self.sum_sq =
+                    self.sum_sq - (old as u128) * (old as u128) + (new as u128) * (new as u128);
+                leaders_untouched &= old < self.second_support;
+                touched.push(slot);
+            }
+        }
+        if touched.is_empty() {
+            return;
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        self.remove_dead(&touched);
+        if leaders_untouched && self.occupied.len() >= 2 {
+            let (mut first, mut second) = (self.max_support, self.second_support);
+            for &slot in &touched {
+                let c = self.counts[slot as usize];
+                if c >= first {
+                    second = first;
+                    first = c;
+                } else if c > second {
+                    second = c;
                 }
             }
-        });
-        assert_eq!(
-            self.n as i128,
-            old_n + shift,
-            "apply_deltas: a part named a slot with no support (dead colors stay dead)"
-        );
+            self.max_support = first;
+            self.second_support = second;
+        } else {
+            self.refresh_scalars_from_occupied();
+        }
+        #[cfg(debug_assertions)]
+        self.debug_assert_caches_exact();
+    }
+
+    /// Drops the slots of `candidates` (ascending, distinct, all listed
+    /// in the occupancy list) whose support is now zero from the
+    /// occupancy list: binary search per candidate, then one left shift
+    /// of each surviving segment — a single memmove pass over the tail
+    /// behind the first death, however many slots died.
+    fn remove_dead(&mut self, candidates: &[u32]) {
+        let counts = &self.counts;
+        let occ = &mut self.occupied;
+        let mut dead = candidates.iter().filter(|&&s| counts[s as usize] == 0);
+        let Some(&first) = dead.next() else { return };
+        let mut write = occ.binary_search(&first).expect("occupied slot listed");
+        let mut read = write + 1;
+        for &slot in dead {
+            let pos = read + occ[read..].binary_search(&slot).expect("occupied slot listed");
+            occ.copy_within(read..pos, write);
+            write += pos - read;
+            read = pos + 1;
+        }
+        let len = occ.len();
+        occ.copy_within(read..len, write);
+        occ.truncate(write + len - read);
     }
 
     /// Replaces the whole support structure with the element-wise sum of
@@ -1279,6 +1336,99 @@ mod tests {
         c.apply_deltas(std::iter::empty::<&[(u32, i64)]>());
         assert_eq!(c.counts(), &[2, 1]);
         assert_eq!(c.n(), 3);
+    }
+
+    #[test]
+    fn apply_deltas_streams_top_two_over_tied_leaders() {
+        // max == second, both leaders untouched: small slots move
+        // without reaching them, then overtake them, then tie them.
+        let mut c = Configuration::from_counts(vec![5, 5, 1, 1, 2]);
+        c.apply_deltas([&[(2u32, 1i64), (3, -1)][..], &[(4, -1)][..]]);
+        assert_eq!(c.counts(), &[5, 5, 2, 0, 1]);
+        assert_eq!((c.max_support(), c.bias()), (5, 0));
+        assert_caches_match_recount(&c);
+        c.apply_deltas([&[(4u32, 5i64)][..]]);
+        assert_eq!((c.max_support(), c.bias()), (6, 1));
+        assert_caches_match_recount(&c);
+        c.apply_deltas([&[(2u32, 4i64)][..], &[(1, 1)][..]]);
+        assert_eq!(c.counts(), &[5, 6, 6, 0, 6]);
+        assert_eq!((c.max_support(), c.bias()), (6, 0));
+        assert_caches_match_recount(&c);
+        // A tied leader grows: the touched leader forces the rescan.
+        c.apply_deltas([&[(4u32, 1i64), (0, -2)][..]]);
+        assert_eq!(c.counts(), &[3, 6, 6, 0, 7]);
+        assert_eq!((c.max_support(), c.bias()), (7, 1));
+        assert_caches_match_recount(&c);
+    }
+
+    #[test]
+    fn apply_deltas_rescans_when_a_leader_shrinks() {
+        // The leader loses support: the runner-up and a non-leader both
+        // overtake it, which no streaming over the touched slots alone
+        // could see.
+        let mut c = Configuration::from_counts(vec![9, 6, 2, 5]);
+        c.apply_deltas([&[(0u32, -7i64), (2, 3)][..]]);
+        assert_eq!(c.counts(), &[2, 6, 5, 5]);
+        assert_eq!((c.max_support(), c.bias()), (6, 1));
+        assert_caches_match_recount(&c);
+        // The second leader shrinks while the first holds.
+        c.apply_deltas([&[(2u32, -4i64)][..], &[(3, -1)][..]]);
+        assert_eq!(c.counts(), &[2, 6, 1, 4]);
+        assert_eq!((c.max_support(), c.bias()), (6, 2));
+        assert_caches_match_recount(&c);
+    }
+
+    #[test]
+    fn apply_deltas_removes_several_deaths_in_one_call() {
+        let mut c = Configuration::from_counts(vec![1, 4, 1, 0, 1, 1, 7, 1, 1]);
+        c.apply_deltas([&[(0u32, -1i64), (4, -1), (1, 2)][..], &[(8, -1), (5, -1), (7, 2)][..]]);
+        assert_eq!(c.counts(), &[0, 6, 1, 0, 0, 0, 7, 3, 0]);
+        assert_eq!(c.occupied(), &[1, 2, 6, 7]);
+        assert_caches_match_recount(&c);
+        // Deaths at the very ends of the list, and every slot but one.
+        c.apply_deltas([&[(1u32, -6i64), (7, -3), (2, -1), (6, 10)][..]]);
+        assert_eq!(c.occupied(), &[6]);
+        assert_eq!(c.n(), 17);
+        assert_caches_match_recount(&c);
+    }
+
+    #[test]
+    fn apply_deltas_nets_the_same_slot_across_parts() {
+        // Slot 1 drains to zero in one part and refills in the next:
+        // it was live when the call began, so it stays listed.
+        let mut c = Configuration::from_counts(vec![3, 1, 1, 2]);
+        c.apply_deltas([&[(1u32, -1i64), (0, 1)][..], &[(1, 2), (3, -2)][..]]);
+        assert_eq!(c.counts(), &[4, 2, 1, 0]);
+        assert_eq!(c.occupied(), &[0, 1, 2]);
+        assert_caches_match_recount(&c);
+        // Opposite deltas that cancel exactly leave the caches intact.
+        c.apply_deltas([&[(2u32, 5i64)][..], &[(2, -5)][..]]);
+        assert_eq!(c.counts(), &[4, 2, 1, 0]);
+        assert_caches_match_recount(&c);
+    }
+
+    #[test]
+    fn apply_deltas_handles_mass_changing_folds() {
+        // Undecided-dynamics shards: mass leaves and returns.
+        let mut c = Configuration::from_counts(vec![1; 64]);
+        let leave: Vec<(u32, i64)> = (0..64).filter(|i| i % 3 == 0).map(|i| (i, -1)).collect();
+        let grow: Vec<(u32, i64)> = (0..64).filter(|i| i % 3 == 1).map(|i| (i, 2)).collect();
+        c.apply_deltas([leave.as_slice(), grow.as_slice()]);
+        assert_eq!(c.n(), 64 - 22 + 2 * 21);
+        assert_eq!(c.num_colors(), 42);
+        assert_eq!((c.max_support(), c.bias()), (3, 0));
+        assert_caches_match_recount(&c);
+    }
+
+    #[test]
+    fn apply_deltas_collapses_two_colors_to_one() {
+        let mut c = Configuration::from_counts(vec![0, 3, 0, 2]);
+        c.apply_deltas([&[(3u32, -2i64)][..], &[(1, 2)][..]]);
+        assert_eq!(c.counts(), &[0, 5, 0, 0]);
+        assert_eq!(c.occupied(), &[1]);
+        assert!(c.is_consensus());
+        assert_eq!((c.max_support(), c.bias()), (5, 5));
+        assert_caches_match_recount(&c);
     }
 
     #[test]

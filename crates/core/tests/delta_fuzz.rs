@@ -76,6 +76,22 @@ fn global_counts(locals: &[Vec<u64>], k: usize) -> Vec<u64> {
     g
 }
 
+/// Per-shard signed delta reports: the slots whose local count moved
+/// between `old` and `new`, with the signed change.
+fn delta_parts(new: &[Vec<u64>], old: &[Vec<u64>]) -> Vec<Vec<(u32, i64)>> {
+    new.iter()
+        .zip(old)
+        .map(|(new, old)| {
+            new.iter()
+                .zip(old)
+                .enumerate()
+                .filter(|&(_, (&n, &o))| n != o)
+                .map(|(i, (&n, &o))| (i as u32, n as i64 - o as i64))
+                .collect()
+        })
+        .collect()
+}
+
 /// Every observable of `merged` must match a from-scratch rebuild.
 fn assert_matches_recount(merged: &Configuration, global: &[u64]) {
     let fresh = Configuration::from_counts(global.to_vec());
@@ -137,18 +153,7 @@ proptest! {
                 }
                 // Signed delta reports -> apply_deltas.
                 1 => {
-                    let parts: Vec<Vec<(u32, i64)>> = locals
-                        .iter()
-                        .zip(&prev_locals)
-                        .map(|(new, old)| {
-                            new.iter()
-                                .zip(old)
-                                .enumerate()
-                                .filter(|&(_, (&n, &o))| n != o)
-                                .map(|(i, (&n, &o))| (i as u32, n as i64 - o as i64))
-                                .collect()
-                        })
-                        .collect();
+                    let parts = delta_parts(&locals, &prev_locals);
                     merged.apply_deltas(parts.iter().map(|p| p.as_slice()));
                 }
                 // Dense reports -> full rebuild (the pre-sparse path).
@@ -159,6 +164,45 @@ proptest! {
 
             let global = global_counts(&locals, k);
             assert_matches_recount(&merged, &global);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The Theorem-5 stall shape: many colors of tiny support, and a
+    /// long run of rounds in which only a unit or two moves, folded as
+    /// delta reports. Long sequences walk the incremental top-two
+    /// maintenance through slow leader growth, ties, deaths and the
+    /// occasional leader-shrink rescan; every fold must still match a
+    /// full recount.
+    #[test]
+    fn long_stalled_delta_sequences_stay_exact(
+        initial in proptest::collection::vec(
+            // Mostly singletons, a few empty or doubled/tripled slots.
+            proptest::collection::vec((0usize..8).prop_map(|r| [0u64, 1, 1, 1, 1, 1, 2, 3][r]), 16..48),
+            1..4,
+        ),
+        rounds in proptest::collection::vec(
+            proptest::collection::vec(op_strategy(), 0..3),
+            150..400,
+        ),
+    ) {
+        let k = initial.iter().map(|l| l.len()).min().unwrap();
+        let mut locals: Vec<Vec<u64>> =
+            initial.iter().map(|l| l[..k].to_vec()).collect();
+        let mut merged = Configuration::from_counts(global_counts(&locals, k));
+
+        for ops in rounds {
+            let live: Vec<bool> = global_counts(&locals, k).iter().map(|&c| c > 0).collect();
+            let prev_locals = locals.clone();
+            for op in ops {
+                apply_op(&mut locals, &live, op);
+            }
+            let parts = delta_parts(&locals, &prev_locals);
+            merged.apply_deltas(parts.iter().map(|p| p.as_slice()));
+            assert_matches_recount(&merged, &global_counts(&locals, k));
         }
     }
 }

@@ -19,9 +19,10 @@
 //!   reports folded into **one** persistent merged [`Configuration`]
 //!   via [`Configuration::merge_sparse`] (`O(#occupied)` per round), or
 //!   — under [`ReportMode::Delta`] — signed per-round deltas merged via
-//!   [`Configuration::apply_deltas`] (`O(#changed)` wire entries, one
-//!   `O(#occupied)` occupancy rescan) once the coordinator observes the
-//!   changed-slot set collapsing. The coordinator arbitrates the
+//!   [`Configuration::apply_deltas`] (`O(#changed)` wire entries and an
+//!   `O(#changed)` fold, plus a memmove when slots die and a rare
+//!   `O(#occupied)` rescan when a leading slot moved) once the
+//!   coordinator observes the changed-slot set collapsing. The coordinator arbitrates the
 //!   sparse↔delta switch round-by-round through
 //!   [`crate::message::Control::Round`], keeping the format
 //!   uniform across shards within a round (absolute and delta reports

@@ -38,8 +38,9 @@
 //!   `Configuration::merge_sparse`; under [`ReportMode::Delta`] the
 //!   coordinator switches the fleet to signed `(slot, Δcount)` reports
 //!   (merged via `Configuration::apply_deltas`) once the per-round
-//!   changed-slot set collapses — `O(#changed)` per round exactly where
-//!   the high-occupancy Theorem-5 regime lives.
+//!   changed-slot set collapses — `O(#changed)` wire entries and
+//!   coordinator fold per round exactly where the high-occupancy
+//!   Theorem-5 regime lives.
 //! * **Shard representation** ([`ShardRepr`]) — by default shards whose
 //!   rule consumes multisets or single peers on the batched wire are
 //!   *condensed*: their whole state is a local histogram, stepped by

@@ -83,7 +83,9 @@
 //!   merged via `Configuration::merge_sparse`.
 //! * [`ReportBody::Delta`] — signed `(slot, Δcount)` pairs over the
 //!   slots whose local support *changed* this round; `O(#changed)` on
-//!   the wire, merged via `Configuration::apply_deltas`. This is the
+//!   the wire and in the coordinator's `Configuration::apply_deltas`
+//!   fold (agent-backed shards build it from a diff of their opinion
+//!   vector against the previous report's, with no tally). This is the
 //!   high-occupancy-regime format: 2-Choices from `k = n` singletons
 //!   keeps `Θ(n)` colors alive over the whole Theorem-5 horizon (so
 //!   absolute reports stay `O(local_n)`) while only `O(1)` nodes switch

@@ -45,10 +45,13 @@
 //!   `opinions`, with no sample buffer and no rule calls.
 //!
 //! Reports are counted through a reusable touched-slot scratch in
-//! `O(local_n)` instead of a fresh dense `vec![0; k]`; under
-//! [`ReportMode::Delta`] the shard additionally keeps the previous
-//! round's counts so it can emit signed `(slot, Δcount)` bodies of size
-//! `O(#changed)` when the coordinator commands [`ReportFormat::Delta`].
+//! `O(local_n)` instead of a fresh dense `vec![0; k]`. Under
+//! [`ReportMode::Delta`] the shard additionally keeps a baseline of its
+//! previous report so it can emit signed `(slot, Δcount)` bodies of
+//! size `O(#changed)` when the coordinator commands
+//! [`ReportFormat::Delta`]: agent-backed shards keep the previous
+//! opinion vector and build those bodies from a chunked opinion diff,
+//! with no tally; condensed shards keep the previous counts.
 //!
 //! Under [`crate::cluster::ShardRepr::Histogram`] (batched wire, native
 //! consumption, multiset or single-peer rule) the worker is
@@ -365,8 +368,8 @@ const MEGA_DISPATCH_FACTOR: u64 = 16;
 
 /// Tallies `opinions` into the dense `counts` scratch (assumed zero
 /// outside `touched`), recording first-touched slots, and returns the
-/// undecided count. The one histogram loop behind the delta baseline,
-/// both batched data planes, and the report builder.
+/// undecided count. The one histogram loop behind both batched data
+/// planes' round-start snapshot, the report builder and the rejoin check.
 fn count_opinions(opinions: &[Opinion], counts: &mut [u64], touched: &mut Vec<u32>) -> u64 {
     let mut undecided = 0u64;
     for &o in opinions {
@@ -582,9 +585,15 @@ struct Worker<R, T> {
     // Report state.
     count_scratch: Vec<u64>,
     touched: Vec<u32>,
-    /// Previous round's counts, kept only under [`ReportMode::Delta`].
+    /// Previous report's counts: the delta baseline of a condensed
+    /// shard under [`ReportMode::Delta`] (empty otherwise).
     prev_counts: Vec<u64>,
     prev_touched: Vec<u32>,
+    /// Previous report's opinion vector and undecided count: the delta
+    /// baseline of an agent-backed shard under [`ReportMode::Delta`]
+    /// (empty otherwise) — 4 bytes per node instead of 8 per slot.
+    prev_opinions: Vec<Opinion>,
+    prev_undecided: u64,
 
     // Fault-injection state (inert unless `plan.is_active()`).
     plan: FaultPlan,
@@ -787,8 +796,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             flat_pool: Vec::new(),
             count_scratch: vec![0; k_slots],
             touched: Vec::new(),
-            prev_counts: if tracking { vec![0; k_slots] } else { Vec::new() },
+            prev_counts: if tracking && condensed { vec![0; k_slots] } else { Vec::new() },
             prev_touched: Vec::new(),
+            prev_opinions: Vec::new(),
+            prev_undecided: 0,
             round_no: 0,
             pending: Vec::new(),
             delayed_report: None,
@@ -808,11 +819,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         };
         if tracking {
             // The round-0 baseline the first delta report is relative to.
-            if worker.condensed {
-                worker.mirror_hist(Mirror::Prev);
-            } else {
-                count_opinions(&worker.opinions, &mut worker.prev_counts, &mut worker.prev_touched);
-            }
+            worker.rebaseline();
         }
         worker
     }
@@ -1140,13 +1147,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.hist_n = (mass - u128::from(undecided)) as u64;
             self.hist_undecided = undecided;
             if self.report_mode == ReportMode::Delta {
-                // Re-baseline the delta tracking against the rejoined
-                // histogram.
-                for &i in &self.prev_touched {
-                    self.prev_counts[i as usize] = 0;
-                }
-                self.prev_touched.clear();
-                self.mirror_hist(Mirror::Prev);
+                self.rebaseline();
             }
             return;
         }
@@ -1175,12 +1176,24 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
         self.touched.clear();
         if self.report_mode == ReportMode::Delta {
-            // Re-baseline the delta tracking against the rejoined state.
+            self.rebaseline();
+        }
+    }
+
+    /// Resets the [`ReportMode::Delta`] baseline to the current state,
+    /// so the next delta report is relative to it: a copy of the
+    /// opinion vector on agent-backed shards, a mirror of the
+    /// histogram into `prev_counts` on condensed ones.
+    fn rebaseline(&mut self) {
+        if self.condensed {
             for &i in &self.prev_touched {
                 self.prev_counts[i as usize] = 0;
             }
             self.prev_touched.clear();
-            count_opinions(&self.opinions, &mut self.prev_counts, &mut self.prev_touched);
+            self.mirror_hist(Mirror::Prev);
+        } else {
+            self.prev_opinions.clone_from(&self.opinions);
+            self.prev_undecided = self.opinions.iter().filter(|o| o.is_undecided()).count() as u64;
         }
     }
 
@@ -2809,11 +2822,91 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         OpinionPalette { origin: self.shard_id as u32, round: self.round_no, palette, runs: pruns }
     }
 
-    /// Counts the post-update opinions and builds the commanded report
-    /// body; under [`ReportMode::Delta`] also rolls the previous-round
-    /// counts forward and reports the changed-slot count.
+    /// Builds the commanded report body, its undecided count and —
+    /// under [`ReportMode::Delta`] — the changed-slot count.
+    ///
+    /// Agent-backed shards under [`ReportMode::Delta`] diff their
+    /// opinions against the previous report's vector: a delta round's
+    /// body *is* the folded diff (no tally at all), and a sparse or
+    /// dense round tallies its absolute body as usual and takes only
+    /// the changed-slot count from the diff. Every other shard tallies.
     fn build_report(&mut self, format: ReportFormat) -> (ReportBody, u64, Option<u64>) {
-        let tracking = self.report_mode == ReportMode::Delta;
+        if self.report_mode != ReportMode::Delta || self.condensed {
+            return self.tally_report(format);
+        }
+        let deltas = self.diff_against_baseline();
+        let changed = Some(deltas.len() as u64);
+        if format == ReportFormat::Delta {
+            return (ReportBody::Delta(deltas), self.prev_undecided, changed);
+        }
+        let (body, undecided, _) = self.tally_report(format);
+        debug_assert_eq!(undecided, self.prev_undecided, "diffed undecided count drifted");
+        (body, undecided, changed)
+    }
+
+    /// Diffs `opinions` against the delta baseline `prev_opinions`,
+    /// rolling the baseline (and `prev_undecided`) forward in place, and
+    /// returns the net `(slot, Δcount)` pairs of the slots whose local
+    /// count moved — exactly the slots a recount-and-compare would
+    /// report. Unchanged chunks cost one branchless compare pass; each
+    /// changed node folds its −1/+1 into the report scratch, so the
+    /// whole diff is `O(local_n)` sequential compares plus
+    /// `O(#changed nodes)` scattered work.
+    fn diff_against_baseline(&mut self) -> Vec<(u32, i64)> {
+        const CHUNK: usize = 64;
+        debug_assert!(self.touched.is_empty(), "report scratch must start zeroed");
+        let scratch = &mut self.count_scratch;
+        let touched = &mut self.touched;
+        let mut undecided = self.prev_undecided;
+        // Signed nets live in the u64 scratch as two's complement; a
+        // slot whose net returns to zero and moves again is listed
+        // twice, which the zeroing emit loop below dedups.
+        let mut bump = |o: Opinion, d: u64| {
+            let i = o.index();
+            if scratch[i] == 0 {
+                touched.push(i as u32);
+            }
+            scratch[i] = scratch[i].wrapping_add(d);
+        };
+        for (cur, base) in self.opinions.chunks(CHUNK).zip(self.prev_opinions.chunks_mut(CHUNK)) {
+            if !cur.iter().zip(base.iter()).fold(false, |diff, (a, b)| diff | (a != b)) {
+                continue;
+            }
+            for (&new, old) in cur.iter().zip(base.iter_mut()) {
+                if new == *old {
+                    continue;
+                }
+                if old.is_undecided() {
+                    undecided -= 1;
+                } else {
+                    bump(*old, u64::MAX);
+                }
+                if new.is_undecided() {
+                    undecided += 1;
+                } else {
+                    bump(new, 1);
+                }
+                *old = new;
+            }
+        }
+        self.prev_undecided = undecided;
+        let mut deltas = Vec::new();
+        for &i in &self.touched {
+            let net = std::mem::take(&mut self.count_scratch[i as usize]) as i64;
+            if net != 0 {
+                deltas.push((i, net));
+            }
+        }
+        self.touched.clear();
+        deltas
+    }
+
+    /// Counts the post-update opinions (or mirrors the condensed
+    /// histogram) and builds the commanded report body; a condensed
+    /// shard under [`ReportMode::Delta`] also rolls its previous-report
+    /// counts forward and reports the changed-slot count.
+    fn tally_report(&mut self, format: ReportFormat) -> (ReportBody, u64, Option<u64>) {
+        let tracking = self.report_mode == ReportMode::Delta && self.condensed;
         if self.condensed && self.report_pairs_fresh {
             self.report_pairs_fresh = false;
             if !tracking && format == ReportFormat::Sparse {
@@ -2979,6 +3072,140 @@ mod tests {
                 Some((body, runs))
             })
             .collect()
+    }
+
+    /// A transport for workers driven directly by a test: report
+    /// building and rejoin never touch it.
+    struct NoTransport;
+
+    impl Transport for NoTransport {
+        fn send(&mut self, _: usize, _: ShardMessage) {
+            unreachable!("test worker sends nothing")
+        }
+        fn broadcast(&mut self, _: OpinionPalette, _: &mut Vec<PaletteBuffers>) {
+            unreachable!("test worker sends nothing")
+        }
+        fn recv(&mut self) -> Result<ShardMessage, TransportLost> {
+            unreachable!("test worker receives nothing")
+        }
+        fn send_report(&mut self, _: ShardReport) -> Option<Vec<(u32, u64)>> {
+            unreachable!("test worker sends nothing")
+        }
+        fn recv_control(&mut self) -> Result<Control, TransportLost> {
+            unreachable!("test worker receives nothing")
+        }
+        fn count_lost(&mut self, _: &ShardMessage) {}
+        fn count_lost_report(&mut self, _: &ShardReport) {}
+        fn bytes_sent(&self) -> u64 {
+            0
+        }
+        fn bytes_received(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Dense recount of an opinion vector: per-slot counts and the
+    /// undecided count.
+    fn recount(opinions: &[Opinion], k: usize) -> (Vec<u64>, u64) {
+        let (mut counts, mut touched) = (vec![0u64; k], Vec::new());
+        let undecided = count_opinions(opinions, &mut counts, &mut touched);
+        (counts, undecided)
+    }
+
+    #[test]
+    fn agent_delta_report_matches_recount_reference() {
+        use symbreak_core::rules::TwoChoices;
+        let (n, k) = (700u32, 40usize);
+        let mut rng = Pcg64::seed_from_u64(23);
+        let spec = ShardSpec {
+            partition: Partition::new(n, 1),
+            k_slots: k,
+            report_mode: ReportMode::Delta,
+            wire_mode: WireMode::Batched,
+            consume_mode: ConsumeMode::Native,
+            repr: ShardRepr::Agents,
+            master_seed: 5,
+            plan: FaultPlan::none(),
+            round_state: RoundStateMode::Rebuild,
+        };
+        let random_opinion = |rng: &mut Pcg64| {
+            if rng.gen_bool(0.1) {
+                Opinion::UNDECIDED
+            } else {
+                Opinion::new(rng.gen_range(0..k as u32))
+            }
+        };
+        let init: Vec<Opinion> = (0..n).map(|_| random_opinion(&mut rng)).collect();
+        let mut w = Worker::new(0, spec, TwoChoices, ShardInit::Agents(init), NoTransport);
+        let mut baseline = recount(&w.opinions, k);
+        let mut older = baseline.clone();
+        for round in 1..=120u64 {
+            match round % 10 {
+                // Every node changes opinion.
+                3 => {
+                    for o in w.opinions.iter_mut() {
+                        *o = if o.is_undecided() {
+                            Opinion::new(0)
+                        } else {
+                            Opinion::new((o.index() as u32 + 1) % k as u32)
+                        };
+                    }
+                }
+                // Nothing changes.
+                5 => {}
+                // Crash-stop and rejoin from an older accepted report
+                // (the latest was lost): the next report is relative to
+                // the rejoined vector, not to the last one built.
+                7 => {
+                    let (counts, undecided) = &older;
+                    let body: Vec<(u32, u64)> = (0..k as u32)
+                        .filter(|&i| counts[i as usize] > 0)
+                        .map(|i| (i, counts[i as usize]))
+                        .collect();
+                    w.rejoin(round, &body, *undecided);
+                    baseline = older.clone();
+                    let j = rng.gen_range(0..n as usize);
+                    w.opinions[j] = random_opinion(&mut rng);
+                }
+                // A few random rewrites (some back to the same value).
+                _ => {
+                    for _ in 0..rng.gen_range(0..6) {
+                        let j = rng.gen_range(0..n as usize);
+                        w.opinions[j] = random_opinion(&mut rng);
+                    }
+                }
+            }
+            let current = recount(&w.opinions, k);
+            let mut expect: Vec<(u32, i64)> = (0..k)
+                .filter(|&i| current.0[i] != baseline.0[i])
+                .map(|i| (i as u32, current.0[i] as i64 - baseline.0[i] as i64))
+                .collect();
+            let format = if rng.gen_bool(0.5) { ReportFormat::Delta } else { ReportFormat::Sparse };
+            let (body, undecided, changed) = w.build_report(format);
+            assert_eq!(undecided, current.1, "round {round}: undecided");
+            assert_eq!(changed, Some(expect.len() as u64), "round {round}: changed slots");
+            match body {
+                ReportBody::Delta(mut pairs) => {
+                    assert_eq!(format, ReportFormat::Delta);
+                    pairs.sort_unstable();
+                    expect.sort_unstable();
+                    assert_eq!(pairs, expect, "round {round}: delta body");
+                }
+                ReportBody::Sparse(pairs) => {
+                    assert_eq!(format, ReportFormat::Sparse);
+                    let mut dense = vec![0u64; k];
+                    for (slot, c) in pairs {
+                        assert_eq!(dense[slot as usize], 0, "round {round}: repeated slot");
+                        dense[slot as usize] = c;
+                    }
+                    assert_eq!(dense, current.0, "round {round}: sparse body");
+                }
+                ReportBody::Dense(_) => unreachable!("no dense round commanded"),
+            }
+            assert!(w.touched.is_empty() && w.count_scratch.iter().all(|&c| c == 0));
+            assert_eq!(w.prev_opinions, w.opinions, "round {round}: baseline rolled forward");
+            older = std::mem::replace(&mut baseline, current);
+        }
     }
 
     #[test]

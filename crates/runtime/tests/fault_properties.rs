@@ -11,7 +11,7 @@ use symbreak_core::rules::{ThreeMajority, TwoChoices, Voter};
 use symbreak_core::Configuration;
 use symbreak_runtime::{
     ByzantineSpec, Cluster, ClusterConfig, ConsumeMode, CorruptionKind, CrashSpec, FaultKind,
-    FaultPlan, RoundStateMode, ShardRepr, StopReason, WireMode,
+    FaultPlan, ReportMode, RoundStateMode, ShardRepr, StopReason, WireMode,
 };
 
 /// Strips the wire-byte counters (PR 8) off a [`FaultCounters`] so the
@@ -132,6 +132,41 @@ fn golden_condensed_push_three_majority() {
             assert_eq!(out.wire_bytes, wire_bytes, "S={shards} {mode:?}: wire bytes");
             assert_eq!(out.total_messages, total_messages, "S={shards} {mode:?}: messages");
         }
+    }
+}
+
+/// Agent-backed shards under [`ReportMode::Delta`]: 2-Choices from
+/// singletons stalls, so the coordinator switches the fleet to delta
+/// reports within a few rounds; 3-Majority on forced agent shards keeps
+/// enough churn that most rounds stay sparse under tracking. Recorded
+/// with dense `prev_counts` baselines on the shards and an occupancy
+/// rescan in every coordinator fold; opinion-diff reports and the
+/// `O(#changed)` fold must replay trajectory, wire bytes, message
+/// counts and report entries exactly.
+#[test]
+fn golden_agent_delta_reports() {
+    let start = Configuration::singletons(4096);
+    // (rule, shards, digest, wire_bytes, total_messages, Σ report_entries).
+    let cases = [
+        ("2-Choices", 2, 0x4e82_89fe_00b3_8a82, 989_442, 491_760, 4230),
+        ("2-Choices", 3, 0x9d25_4e2d_3897_ca31, 998_479, 492_060, 4216),
+        ("3-Majority", 3, 0xc077_c1e0_1541_fd44, 908_661, 329_184, 56_267),
+    ];
+    for (rule, shards, digest, wire_bytes, total_messages, entries) in cases {
+        let config = ClusterConfig::new(shards, 7).with_report_mode(ReportMode::Delta);
+        let out = match rule {
+            "2-Choices" => Cluster::new(TwoChoices, &start, config).run_horizon(60),
+            _ => Cluster::new(ThreeMajority, &start, config.with_shard_repr(ShardRepr::Agents))
+                .run_horizon(60),
+        };
+        assert_eq!(trace_digest(&out.trace), digest, "{rule} S={shards}: digest");
+        assert_eq!(out.wire_bytes, wire_bytes, "{rule} S={shards}: wire bytes");
+        assert_eq!(out.total_messages, total_messages, "{rule} S={shards}: messages");
+        assert_eq!(
+            out.report_entries.iter().sum::<u64>(),
+            entries,
+            "{rule} S={shards}: report entries"
+        );
     }
 }
 

@@ -79,6 +79,20 @@ fn socket_fleet_replays_channel_trajectory_agents_delta() {
     assert_eq!(socket.wire_bytes, channel.wire_bytes);
 }
 
+#[test]
+fn socket_fleet_replays_agent_delta_golden() {
+    // The stalled 2-Choices delta golden of `fault_properties.rs`
+    // (S = 2) over worker processes: opinion-diff delta reports must
+    // frame to the same bytes the channel backend counts.
+    let start = Configuration::singletons(4096);
+    let config = ClusterConfig::new(2, 7).with_report_mode(ReportMode::Delta);
+    let out = Cluster::new(TwoChoices, &start, config).run_horizon_socket(60, &unix_config());
+    assert_eq!(trace_digest(&out.trace), 0x4e82_89fe_00b3_8a82);
+    assert_eq!(out.wire_bytes, 989_442);
+    assert_eq!(out.total_messages, 491_760);
+    assert_eq!(out.report_entries.iter().sum::<u64>(), 4230);
+}
+
 /// Runs `rule` on the incremental push gear over channels and over
 /// sockets and asserts the two agree on trajectory, message count and
 /// bytes — and that delta rounds actually ran (the rebuild broadcast
